@@ -134,7 +134,7 @@ def digital_batch_key(fault):
 
     Bit-flips, multi-bit upsets and SET pulses return their primary
     target name; these are the mechanisms whose mutants can fork off a
-    shared golden branch walk (copy-on-divergence) and re-join it via
+    shared golden snapshot (copy-on-divergence) and re-join it via
     state re-convergence.  Stuck-ats (often unbounded), parametric and
     analog faults return ``None`` and take their own paths.
     """

@@ -175,7 +175,8 @@ def execution_summary(result):
             lines.append(
                 f"re-convergence  : {batch.get('converged', 0)} mutants"
                 f" spliced onto golden tails"
-                f" ({batch.get('branch_snapshots', 0)} branch snapshots)"
+                f" ({batch.get('branch_snapshots', 0)} golden nodes captured,"
+                f" {batch.get('golden_node_hits', 0)} reused)"
             )
     sampling = ex.get("sampling")
     if sampling:

@@ -825,7 +825,7 @@ def build_parser():
                             "--warm-start): 'analog' advances "
                             "current-injection variants as vectorized "
                             "ensembles, 'digital' forks bit-flip "
-                            "mutants off a shared golden branch walk, "
+                            "mutants off shared golden snapshots, "
                             "'auto' (the default when the flag is "
                             "given bare) enables both; divergent "
                             "variants peel off to the scalar path, "

@@ -38,7 +38,6 @@ import networkx as nx
 from ..obs import metrics as _metrics
 from ..obs import tracer as _tracer
 from .errors import (
-    BudgetExceededError,
     ElaborationError,
     SchedulingError,
     SimulationError,
@@ -524,94 +523,13 @@ class Simulator:
         return self._run_loop(until, inclusive)
 
     def _run_loop(self, until, inclusive):
-        """The uninstrumented event loop (see :meth:`run`)."""
+        """The uninstrumented run (see :meth:`run`)."""
         if until < self.now:
             raise SchedulingError(
                 f"cannot run to {until}; simulation already at {self.now}"
             )
-        if self.budget is not None and not self.budget.empty:
-            return self._run_budgeted(until, inclusive)
         self.analog.start()
-        queue = self._queue
-        while True:
-            t_next = queue.peek_time()
-            if t_next is None or t_next > until:
-                break
-            if not inclusive and t_next >= until:
-                break
-            event = queue.pop()
-            if event.time < self.now - 1e-18:
-                raise SimulationError(
-                    f"event at {event.time} behind current time {self.now}"
-                )
-            self.now = max(self.now, event.time)
-            event.callback()
-        self.now = until
-
-    #: Events between wall-clock budget checks in the budgeted loop; a
-    #: power of two so the modulo is a mask.
-    _WALL_CHECK_STRIDE = 256
-
-    def _run_budgeted(self, until, inclusive):
-        """The budget-enforcing event loop (see :class:`RunBudget`).
-
-        Identical semantics to :meth:`_run_loop` plus per-iteration
-        resource checks.  Event and step ceilings are compared every
-        iteration (one integer compare each); the wall clock is read
-        every :data:`_WALL_CHECK_STRIDE` events so a tight event storm
-        cannot make ``perf_counter`` itself the hot path.
-
-        :raises BudgetExceededError: the run became a ``timeout``.
-        """
-        budget = self.budget
-        queue = self._queue
-        max_events = budget.max_events
-        max_steps = budget.max_steps
-        max_wall = budget.max_wall_s
-        start_events = queue.executed
-        start_steps = self.analog.steps
-        wall_start = perf_counter() if max_wall is not None else 0.0
-        wall_mask = self._WALL_CHECK_STRIDE - 1
-
-        self.analog.start()
-        executed = 0
-        while True:
-            t_next = queue.peek_time()
-            if t_next is None or t_next > until:
-                break
-            if not inclusive and t_next >= until:
-                break
-            if max_events is not None and queue.executed - start_events >= max_events:
-                raise BudgetExceededError(
-                    f"run exceeded its event budget "
-                    f"({max_events} events) at t={self.now:.6g}",
-                    resource="events", limit=max_events,
-                    used=queue.executed - start_events, at_time=self.now,
-                )
-            if max_steps is not None and self.analog.steps - start_steps >= max_steps:
-                raise BudgetExceededError(
-                    f"run exceeded its analog step budget "
-                    f"({max_steps} steps) at t={self.now:.6g}",
-                    resource="steps", limit=max_steps,
-                    used=self.analog.steps - start_steps, at_time=self.now,
-                )
-            if max_wall is not None and executed & wall_mask == 0:
-                elapsed = perf_counter() - wall_start
-                if elapsed > max_wall:
-                    raise BudgetExceededError(
-                        f"run exceeded its wall-clock budget "
-                        f"({max_wall:g} s) at t={self.now:.6g}",
-                        resource="wall", limit=max_wall,
-                        used=elapsed, at_time=self.now,
-                    )
-            event = queue.pop()
-            if event.time < self.now - 1e-18:
-                raise SimulationError(
-                    f"event at {event.time} behind current time {self.now}"
-                )
-            self.now = max(self.now, event.time)
-            event.callback()
-            executed += 1
+        self._queue.dispatch(self, until, inclusive)
         self.now = until
 
     def _run_observed(self, until, inclusive):

@@ -284,15 +284,11 @@ class Snapshot:
         for proc, pending in zip(self.processes, self.process_states):
             if proc.pending != pending:
                 return False
-        events, flags, _next_seq = self.queue_state
-        order = lambda event: (event.time, event.priority, event.seq)
+        events, flags = self.queue_state[:2]
         captured = sorted(
-            (e for e, cancelled in zip(events, flags) if not cancelled),
-            key=order,
+            e for e, cancelled in zip(events, flags) if not cancelled
         )
-        live_events = sorted(
-            (e for e in sim._queue._heap if not e.cancelled), key=order
-        )
+        live_events = list(sim._queue.live_events())
         if len(captured) != len(live_events):
             return False
         for want, have in zip(captured, live_events):

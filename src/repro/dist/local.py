@@ -15,6 +15,8 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import signal
+import threading
 
 from ..obs import journal as _journal
 from ..store.store import CampaignStore
@@ -43,8 +45,14 @@ def _worker_main(address, factory, name, worker_kwargs):
     # from two processes would interleave sequence numbers.  Closing
     # the child's duplicate leaves the parent's stream untouched.
     _journal.JOURNAL.close()
+    # SIGTERM means "stop gracefully" for the worker's whole life, not
+    # only while run_worker has its own handler installed: the parent
+    # sends it to any worker still alive when the job is over.
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda _sig, _frm: stop.set())
     try:
-        run_worker(address, factory=factory, name=name, **worker_kwargs)
+        run_worker(address, factory=factory, name=name, stop=stop,
+                   **worker_kwargs)
     except Exception:
         LOGGER.exception("local worker %s crashed", name)
         os._exit(1)
@@ -146,11 +154,17 @@ def run_distributed(factory, spec, workers=2, shard_size=None,
                 f"(failed shards: {status.get('failed')})"
             )
     finally:
+        # The job is terminal.  A worker that has not seen ``drain``
+        # (it may be mid-reconnect) would otherwise back off against a
+        # closed port; SIGTERM takes its graceful-exit path instead.
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
         coordinator.stop()
         for process in processes:
             process.join(timeout=10.0)
             if process.is_alive():
-                process.terminate()
+                process.kill()
                 process.join(timeout=5.0)
     with CampaignStore(store_path) as store:
         return store.load_result(spec.name)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 from time import perf_counter
 
 from ..core.errors import ReproError
@@ -142,9 +143,7 @@ class FlightRecorder:
             names = self._node_names
         queue_tail = []
         if sim is not None:
-            for event in sorted(sim._queue._heap)[:QUEUE_TAIL_EVENTS]:
-                if event.cancelled:
-                    continue
+            for event in islice(sim._queue.live_events(), QUEUE_TAIL_EVENTS):
                 callback = event.callback
                 queue_tail.append({
                     "t": event.time,

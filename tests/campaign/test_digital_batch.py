@@ -274,6 +274,112 @@ class TestDigitalBatchSupervision:
         assert to_csv(loaded) == to_csv(reference)
 
 
+def mixed_factory():
+    """Self-healing shift-register state beside never-healing counter bits."""
+    sim = Simulator(dt=1e-9)
+    top = Component(sim, "top")
+    clk = sim.signal("clk", init=L0)
+    ClockGen(sim, "ck", clk, period=CLK_PERIOD, parent=top)
+    stim = Bus(sim, "stim", 8)
+    LFSR(sim, "lfsr", clk, stim, parent=top)
+    q = Bus(sim, "q", 4)
+    ShiftRegister(sim, "sr1", clk, stim.bits[0], q, parent=top)
+    cnt = Bus(sim, "cnt", 3)
+    Counter(sim, "counter", clk, cnt, parent=top)
+    sr_par = sim.signal("sr_parity")
+    ParityGen(sim, "srpar", q, sr_par, parent=top)
+    cnt_par = sim.signal("cnt_parity")
+    ParityGen(sim, "cntpar", cnt, cnt_par, parent=top)
+    probes = {
+        "sr_parity": sim.probe(sr_par),
+        "cnt_parity": sim.probe(cnt_par),
+    }
+    return Design(sim=sim, root=top, probes=probes)
+
+
+def mixed_spec():
+    targets = [f"top/sr1.q[{i}]" for i in range(4)]
+    targets += [f"top/counter.q[{i}]" for i in range(3)]
+    faults = exhaustive_bitflips(
+        targets, [105e-9 + 20e-9 * k for k in range(8)]
+    )
+    return CampaignSpec(
+        name="cache", faults=faults, t_end=1e-6,
+        outputs=["sr_parity", "cnt_parity"],
+    )
+
+
+#: Row fields a batched mutant must reproduce exactly.
+OUTCOME = ("idx", "key", "status", "label", "classification",
+           "comparisons")
+
+
+class TestGoldenNodeCache:
+    """Golden nodes are shared campaign-wide, whoever asks for them.
+
+    Three checkpoints over eight flip times put several flip times in
+    every checkpoint group, so sampled chunks draw strict subsets of
+    each group's flips.
+    """
+
+    @staticmethod
+    def campaign(tmp_path_factory, tag, **kwargs):
+        path = tmp_path_factory.mktemp(tag) / "c.sqlite"
+        with CampaignStore(path) as store:
+            result = run_campaign(
+                mixed_factory, mixed_spec(), store=store, max_checkpoints=3,
+                on_error="collect", **kwargs,
+            )
+            rows = store.run_rows(store.campaign_id("cache"))
+        return result, {row["idx"]: row for row in rows}
+
+    @pytest.fixture(scope="class")
+    def exhaustive(self, tmp_path_factory):
+        return self.campaign(tmp_path_factory, "exhaustive", batch="digital")
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        return self.campaign(
+            tmp_path_factory, "sampled", batch="digital", sample=True,
+            margin=0.12, chunk=8,
+        )
+
+    def test_sampled_captures_no_more_nodes(self, exhaustive, sampled):
+        full, sample = exhaustive[0], sampled[0]
+        assert sample.execution["sampling"]["simulated"] < len(mixed_spec().faults)
+        assert sample.execution["batch"]["digital_batches"] > 3
+        assert (sample.execution["batch"]["branch_snapshots"]
+                <= full.execution["batch"]["branch_snapshots"])
+        # Later chunks restore nodes earlier chunks captured.
+        assert sample.execution["batch"]["golden_node_hits"] > 0
+
+    def test_sampled_rows_equal_exhaustive_rows(self, exhaustive, sampled):
+        full, sample = exhaustive[1], sampled[1]
+        simulated = [row for row in sample.values()
+                     if row["status"] != "skipped"]
+        assert simulated
+        for row in simulated:
+            want = full[row["idx"]]
+            for key in OUTCOME:
+                assert row[key] == want[key], (row["idx"], key)
+
+    def test_digital_batch_store_matches_scalar(self, exhaustive,
+                                                tmp_path_factory):
+        _scalar, scalar_rows = self.campaign(
+            tmp_path_factory, "scalar", warm_start=True
+        )
+        batched = exhaustive[1]
+        assert sorted(batched) == sorted(scalar_rows)
+        for idx, row in scalar_rows.items():
+            assert [row[key] for key in OUTCOME] == [
+                batched[idx][key] for key in OUTCOME
+            ]
+        stats = exhaustive[0].execution["batch"]
+        assert stats["batched_runs"] == len(scalar_rows)
+        assert stats["converged"] > 0
+        assert any(row["label"] != "silent" for row in scalar_rows.values())
+
+
 class TestBatchModeSelection:
     def test_normalize_batch_mode(self):
         assert normalize_batch_mode(True) == "auto"

@@ -22,7 +22,7 @@ from repro.core import (
     Simulator,
 )
 from repro.core.errors import ReproError
-from repro.digital import ClockGen
+from repro.digital import Bus, ClockGen, Counter
 
 
 class Poison(AnalogBlock):
@@ -42,6 +42,16 @@ def clocked_sim(period=10e-9):
     sim = Simulator(dt=1e-9)
     clk = sim.signal("clk", init=L0)
     ClockGen(sim, "ck", clk, period=period)
+    return sim
+
+
+def counter_sim():
+    sim = Simulator(dt=1e-9)
+    clk = sim.signal("clk", init=L0)
+    ClockGen(sim, "ck", clk, period=10e-9)
+    q = Bus(sim, "q", 4)
+    Counter(sim, "cnt", clk, q)
+    sim.probe(q.bits[0])
     return sim
 
 
@@ -80,6 +90,29 @@ class TestRunBudget:
             sim.run(100e-6)
         assert info.value.resource == "events"
         assert sim.events_executed >= 25
+
+    @pytest.mark.parametrize("warm,limit,at_time,executed", [
+        (0.0, 25, 1.5000000000000002e-08, 25),
+        (0.0, 101, 9.000000000000003e-08, 101),
+        (95e-9, 40, 1.3000000000000005e-07, 143),
+        (95e-9, 333, 4.250000000000003e-07, 436),
+    ])
+    def test_event_budget_trip_point_is_pinned(self, warm, limit, at_time,
+                                               executed):
+        # Values from the heap-only event loop: serving same-time
+        # events from the delta FIFO must not move a trip.
+        sim = counter_sim()
+        if warm:
+            sim.run(warm)
+        sim.budget = RunBudget(max_events=limit)
+        with pytest.raises(BudgetExceededError) as info:
+            sim.run(10e-6)
+        assert info.value.resource == "events"
+        assert info.value.limit == limit
+        assert info.value.used == limit
+        assert info.value.at_time == at_time
+        assert sim.now == at_time
+        assert sim.events_executed == executed
 
     def test_step_budget_trips(self):
         sim = analog_sim(t_bad=1.0, bad_value=1.0)  # never poisons
