@@ -36,6 +36,7 @@ import logging
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter, sleep
 
 from ..core.budget import NumericalGuard, RunBudget
@@ -66,7 +67,12 @@ from .classify import (
 from .compare import ComparisonGridCache, compare_probe_sets
 from .faultlist import batch_key, digital_batch_key
 from .results import CampaignResult, CampaignRunError, FaultResult
-from .sampling import DEFAULT_CHUNK, StratifiedSampler, stored_outcomes
+from .sampling import (
+    DEFAULT_CHUNK,
+    ExhaustivePlan,
+    StratifiedSampler,
+    stored_outcomes,
+)
 from .supervisor import RetryPolicy, WorkerSupervisor, set_worker_phase
 
 LOGGER = logging.getLogger("repro.campaign")
@@ -970,15 +976,16 @@ class CampaignRunner:
             probes[name] = dup
         return probes
 
-    def _batched_outcomes(self, pending, on_error, mode="auto"):
-        """Outcome stream for batched execution.
+    def _batched_outcomes(self, pending, warm_start, on_error, mode):
+        """Outcome stream of one chunk run in the parent process.
 
         Batches run first — analog ensembles and digital mutant batches
         interleaved in deterministic plan order; their peeled variants
-        and every unbatchable fault then drain through the ordinary
-        scalar serial stream (same retry/supervision semantics).
-        Yields the same ``(index, ok, payload, wall_s, attempts)``
-        tuples as :meth:`_serial_outcomes`.
+        and every unbatchable fault (all of them with ``mode="off"``)
+        then drain through the scalar serial stream.  Yields the same
+        ``(index, ok, payload, wall_s, attempts)`` tuples as
+        :meth:`_serial_outcomes` and marks a store flush after every
+        batch and every scalar outcome.
         """
         registry = _metrics.REGISTRY
         stats = self._batch_stats
@@ -1023,21 +1030,18 @@ class CampaignRunner:
             for index, payload, wall_s in completed:
                 yield index, True, payload, wall_s, 1
             scalar.extend(leftovers)
-            # The parent consumed (classified, stored) this batch's
+            # The parent consumed (classified, buffered) this batch's
             # outcomes before the generator resumed: flush them as one
             # store transaction.
-            if self._flush_store is not None:
-                self._flush_store()
+            self._flush_store()
         remaining = sorted(scalar)
         stats["scalar_runs"] += len(remaining)
         if remaining:
             registry.inc("campaign.runs.scalar", len(remaining))
-        for outcome in self._serial_outcomes(remaining, True, on_error):
+        for outcome in self._serial_outcomes(remaining, warm_start, on_error):
             yield outcome
-            # One row per transaction on the scalar tail — the same
-            # crash-durability record_run gives unbatched campaigns.
-            if self._flush_store is not None:
-                self._flush_store()
+            # One row per transaction on the scalar tail.
+            self._flush_store()
 
     # -- the campaign -----------------------------------------------------------
 
@@ -1157,7 +1161,8 @@ class CampaignRunner:
         deadline is killed.  Outcomes stream in *completion* order (the
         consumer re-sorts by index), so the parent classifies and
         persists each run while later runs are still simulating, and
-        an interrupt loses at most the results still in flight.
+        an interrupt loses at most the results still in flight (a store
+        flush follows every outcome).
         """
         global _ACTIVE_RUNNER
         body = _worker_execute_warm if warm_start else _worker_execute
@@ -1179,51 +1184,42 @@ class CampaignRunner:
                         position, len(pending), self.spec.faults[outcome[0]]
                     )
                 yield outcome
+                self._flush_store()
         finally:
             _ACTIVE_RUNNER = None
 
-    def _sampled_outcomes(self, sampler, warm_start, on_error, batch,
-                          batch_mode):
-        """Outcome stream driven by a :class:`StratifiedSampler`.
+    def _chunk_outcomes(self, plan, inner, sampled):
+        """The campaign's outcome stream: ``plan``'s chunks, in order.
 
-        Chunks are drawn, simulated through the ordinary serial or
-        batched inner stream, and closed with
-        :meth:`~repro.campaign.sampling.StratifiedSampler.finish_chunk`
-        — which is legal here because the parent consumer records each
-        outcome into the sampler *before* this generator resumes (the
-        same feedback discipline batched mode uses for store flushes).
-        The stream ends the moment the pooled interval converges or
-        the population runs dry.
+        ``plan`` is an :class:`~repro.campaign.sampling.ExhaustivePlan`
+        (one chunk of every pending fault) or a
+        :class:`~repro.campaign.sampling.StratifiedSampler`.  Each
+        chunk's pending faults run through ``inner`` (the in-process
+        stream, or the fork pool), and the chunk is closed with
+        ``finish_chunk`` — legal here because the consumer records
+        each outcome into the plan *before* this generator resumes.
+        The stream ends when the plan stops or runs out of chunks;
+        ``sampled`` narrates the draws in the journal.
         """
-        journal_on = _journal.JOURNAL.enabled
-        while True:
-            chunk = sampler.next_chunk()
-            if chunk is None:
-                break
+        journal_on = sampled and _journal.JOURNAL.enabled
+        for chunk in iter(plan.next_chunk, None):
             if journal_on:
                 _journal.emit(
                     "sample_chunk", chunk=chunk.ident,
                     round=chunk.round_index, size=len(chunk.indices),
-                    pending=len(chunk.pending), trials=sampler.trials,
+                    pending=len(chunk.pending), trials=plan.trials,
                 )
-            pending = list(chunk.pending)
-            if pending:
-                inner = (
-                    self._batched_outcomes(pending, on_error, batch_mode)
-                    if batch
-                    else self._serial_outcomes(pending, warm_start, on_error)
-                )
-                for outcome in inner:
-                    yield outcome
-            if sampler.finish_chunk(chunk):
+            if chunk.pending:
+                yield from inner(list(chunk.pending))
+            if plan.finish_chunk(chunk):
                 break
-        if sampler.finished:
-            estimate, (low, high) = sampler.pooled()
+        if sampled and plan.finished:
+            estimate, (low, high) = plan.pooled()
             _journal.emit(
-                "sampling_stopped", reason=sampler.reason,
-                trials=sampler.trials, estimate=estimate,
+                "sampling_stopped", reason=plan.reason,
+                trials=plan.trials, estimate=estimate,
                 half_width=(high - low) / 2.0,
-                skipped=sampler.population - sampler.simulated,
+                skipped=plan.population - plan.simulated,
             )
 
     # -- the campaign -----------------------------------------------------------
@@ -1256,6 +1252,10 @@ class CampaignRunner:
         """Run golden + every (remaining) fault; returns a
         :class:`CampaignResult`.
 
+        Faults run as the chunks of a plan: one chunk of every pending
+        fault for an exhaustive campaign, the sampler's draws for a
+        sampled one (see :meth:`_chunk_outcomes`).
+
         :param workers: when > 1 on a platform with ``fork``, faulty
             runs execute under a :class:`WorkerSupervisor` (each
             worker inherits the factory, hooks — and in warm mode the
@@ -1265,7 +1265,8 @@ class CampaignRunner:
             classification and store writes always happen in the
             parent — the single writer — against the one golden run,
             streaming as results arrive.  Without ``fork`` the
-            campaign logs a warning and runs serially.
+            campaign logs a warning and runs serially;
+            ``execution["workers"]`` records the count that ran.
         :param warm_start: restore golden checkpoints instead of
             re-simulating each fault from t=0 (see the module
             docstring for semantics and caveats).
@@ -1416,7 +1417,6 @@ class CampaignRunner:
                     _journal.JOURNAL.session_offset,
                 )
 
-        sampler = None
         if store is not None and resume and not sample:
             # A stored sampling configuration makes --resume continue
             # the sampled campaign without restating the flags.
@@ -1450,7 +1450,7 @@ class CampaignRunner:
                     stored_map = stored_outcomes(
                         store.run_rows(campaign_id)
                     )
-            sampler = StratifiedSampler(
+            plan = StratifiedSampler(
                 self.spec.faults,
                 margin=margin,
                 confidence=confidence,
@@ -1466,6 +1466,8 @@ class CampaignRunner:
             pending = [
                 index for index in range(total) if index not in replayed
             ]
+        else:
+            plan = ExhaustivePlan(pending, chunk=max(len(pending), 1))
 
         if warm_start:
             warm = self.prepare_warm(checkpoint_every, max_checkpoints)
@@ -1481,7 +1483,7 @@ class CampaignRunner:
             store.check_golden(campaign_id, golden_probes)
 
         parallel = workers is not None and workers > 1 and len(pending) > 1
-        if sampler is not None and parallel:
+        if sample and parallel:
             LOGGER.warning(
                 "adaptive sampling evaluates convergence at chunk "
                 "boundaries in draw order; running serially — ignoring "
@@ -1506,29 +1508,29 @@ class CampaignRunner:
                 )
                 parallel = False
         mode = "batched" if batch else ("warm" if warm_start else "cold")
-        if sampler is not None:
+        if sample:
             mode = f"sampled-{mode}"
+        # The worker count that actually runs, not the one requested.
+        workers = workers if parallel else 1
         _journal.emit(
             "campaign_started", name=self.spec.name, total=total,
-            pending=len(pending), mode=mode,
-            workers=workers if parallel else 1, resume=bool(resume),
+            pending=len(pending), mode=mode, workers=workers,
+            resume=bool(resume),
         )
         if parallel:
             self._worker_monitor = self._build_worker_monitor(
                 store, campaign_id
             )
-        if sampler is not None:
-            outcomes = self._sampled_outcomes(
-                sampler, warm_start, on_error, batch, batch_mode
-            )
-        elif batch:
-            outcomes = self._batched_outcomes(pending, on_error, batch_mode)
-        elif parallel:
-            outcomes = self._parallel_outcomes(
-                pending, workers, warm_start, on_error, context
+            inner = partial(
+                self._parallel_outcomes, workers=workers,
+                warm_start=warm_start, on_error=on_error, context=context,
             )
         else:
-            outcomes = self._serial_outcomes(pending, warm_start, on_error)
+            inner = partial(
+                self._batched_outcomes, warm_start=warm_start,
+                on_error=on_error, mode=batch_mode,
+            )
+        outcomes = self._chunk_outcomes(plan, inner, sample)
 
         registry = _metrics.REGISTRY
         result = CampaignResult(self.spec, golden_probes=golden_probes)
@@ -1537,38 +1539,33 @@ class CampaignRunner:
         fault_events = 0
         retried = 0
         failure_tally = {RUN_TIMEOUT: 0, RUN_DIVERGED: 0, RUN_CRASHED: 0}
-        # In batched mode successful rows are buffered and committed in
-        # one transaction per batch (the outcome generator triggers the
-        # flush at each batch boundary); the finally clause guarantees
-        # nothing already classified is lost to a late error.
+        # Successful rows are buffered and committed in one transaction
+        # at every boundary the outcome stream marks (after each batch,
+        # each scalar or parallel outcome); the finally clause
+        # guarantees nothing already classified is lost to a late error.
         store_rows = []
-
-        def _flush_rows():
-            if store is not None and store_rows:
-                store.record_runs(campaign_id, store_rows)
-                store_rows.clear()
-
         phases = self._phase_s
 
-        def _flush_timed():
+        def _flush_rows():
+            if store is None or not store_rows:
+                return
             flush_start = perf_counter()
-            _flush_rows()
+            rows = list(store_rows)
+            store_rows.clear()
+            store.record_runs(campaign_id, rows)
             phases["store_write"] += perf_counter() - flush_start
 
-        self._flush_store = _flush_timed if batch else None
+        self._flush_store = _flush_rows
         try:
             for index, ok, payload, wall_s, attempts in outcomes:
                 fault = self.spec.faults[index]
-                stratum = (
-                    sampler.stratum_of(index) if sampler is not None else None
-                )
+                stratum = plan.stratum_of(index)
                 retried += attempts - 1
                 if not ok:
                     exc, status = payload
-                    if sampler is not None:
-                        # Failed runs are excluded from estimate
-                        # trials but still consume their draw.
-                        sampler.record(index, None)
+                    # Failed runs are excluded from estimate trials but
+                    # still consume their draw.
+                    plan.record(index, None)
                     if on_error == "raise":
                         raise exc
                     quarantined = (
@@ -1615,8 +1612,7 @@ class CampaignRunner:
                 )
                 phases["classify"] += perf_counter() - classify_start
                 new_runs[index] = run_result
-                if sampler is not None:
-                    sampler.record(index, run_result.label != SILENT)
+                plan.record(index, run_result.label != SILENT)
                 registry.inc("campaign.runs")
                 registry.inc(f"campaign.class.{run_result.label}")
                 registry.observe("campaign.run_wall_s", wall_s)
@@ -1625,20 +1621,9 @@ class CampaignRunner:
                     label=run_result.label, wall_s=round(wall_s, 6),
                     attempts=attempts,
                 )
-                if store is not None:
-                    if batch:
-                        store_rows.append(
-                            (index, run_result, wall_s, events, attempts,
-                             stratum)
-                        )
-                    else:
-                        write_start = perf_counter()
-                        store.record_run(
-                            campaign_id, index, run_result,
-                            wall_s=wall_s, kernel_events=events,
-                            attempts=attempts, stratum=stratum,
-                        )
-                        phases["store_write"] += perf_counter() - write_start
+                store_rows.append(
+                    (index, run_result, wall_s, events, attempts, stratum)
+                )
         finally:
             _flush_rows()
             self._flush_store = None
@@ -1647,14 +1632,14 @@ class CampaignRunner:
             registry.inc("campaign.retried_runs", retried)
         session_error_indices = {err.index for err in errors}
 
-        if sampler is not None and sampler.finished and store is not None:
+        skipped = plan.skipped_indices() if plan.finished else ()
+        if skipped and store is not None:
             # One transaction marks everything the early stop saved:
             # "skipped" rows are distinguishable from "not sampled"
             # (no row at all — the campaign died before converging).
             write_start = perf_counter()
             store.record_skipped(campaign_id, [
-                (index, sampler.stratum_of(index))
-                for index in sampler.skipped_indices()
+                (index, plan.stratum_of(index)) for index in skipped
             ])
             phases["store_write"] += perf_counter() - write_start
 
@@ -1682,7 +1667,7 @@ class CampaignRunner:
 
         result.execution = {
             "mode": mode,
-            "workers": workers or 1,
+            "workers": workers,
             "checkpoints": checkpoints,
             "golden_events": golden_events,
             "fault_events": fault_events,
@@ -1698,11 +1683,9 @@ class CampaignRunner:
             "quarantined": sum(1 for err in errors if err.quarantined),
         }
         if warm_start:
-            attempted = pending
-            if sampler is not None:
-                # Only the faults this session actually simulated say
-                # anything about checkpoint reuse.
-                attempted = sorted(set(new_runs) | session_error_indices)
+            # Only the faults this session actually simulated say
+            # anything about checkpoint reuse.
+            attempted = set(new_runs) | session_error_indices
             hits = sum(
                 1
                 for index in attempted
@@ -1714,8 +1697,8 @@ class CampaignRunner:
             registry.inc("campaign.warm.miss", len(attempted) - hits)
         if batch:
             result.execution["batch"] = dict(self._batch_stats)
-        if sampler is not None:
-            result.execution["sampling"] = sampler.summary()
+        if sample:
+            result.execution["sampling"] = plan.summary()
         # Per-phase wall-time breakdown.  restore/step accrue inside
         # the process that simulates — the parent for serial and
         # batched campaigns; forked workers (whose accumulators die

@@ -42,6 +42,11 @@ The pooled estimate is the population-weighted stratified estimator
 effective sample size ``p(1-p) / Var(p)``, which reduces exactly to
 the plain Wilson interval when sampling is proportional (and always
 when there is a single stratum).
+
+:class:`ExhaustivePlan` speaks the same chunk protocol as the
+sampler's degenerate case — every fault, in order, never stopping
+early — so the campaign runner and the distributed coordinator drive
+every campaign through one chunk loop.
 """
 
 from __future__ import annotations
@@ -513,15 +518,6 @@ class StratifiedSampler:
         self._queue.clear()
         self._outstanding.clear()
 
-    def abandon(self, chunk):
-        """Drop an in-flight chunk after the campaign stopped.
-
-        Used by the distributed coordinator for chunks whose leases
-        were revoked by convergence; their rows are never merged and
-        their faults count as skipped.
-        """
-        self._outstanding.pop(chunk.ident, None)
-
     # -- results -----------------------------------------------------------
 
     def skipped_indices(self):
@@ -587,3 +583,63 @@ class StratifiedSampler:
             "chunks": self._chunks_issued,
             "strata": strata,
         }
+
+
+class ExhaustivePlan:
+    """The chunk plan of an exhaustive campaign.
+
+    Speaks the :class:`StratifiedSampler` chunk protocol as its
+    degenerate case: ``indices`` in order, cut into contiguous chunks
+    of ``chunk``, all of them in one round; outcomes steer nothing, so
+    the plan never stops early and skips nothing.  ``stored`` indices
+    (outcomes already in the store) are replayed: they stay in their
+    chunk's ``indices`` but not in its ``pending``.
+    """
+
+    #: Never stops early (a sampler's ``stopped`` means it did).
+    stopped = False
+
+    def __init__(self, indices, *, chunk, stored=None):
+        if chunk < 1:
+            raise CampaignError("chunk must be >= 1")
+        self._indices = list(indices)
+        self.chunk = int(chunk)
+        self._stored = set(stored or ())
+        self._issued = 0
+        self._closed = 0
+
+    @property
+    def finished(self):
+        """Every chunk handed out and finished."""
+        return self._closed * self.chunk >= len(self._indices)
+
+    def stratum_of(self, index):
+        return None
+
+    def record(self, index, outcome):
+        """Outcomes steer nothing: a no-op."""
+
+    def next_chunk(self):
+        """The next contiguous chunk, or None once all are handed out."""
+        start = self._issued * self.chunk
+        if start >= len(self._indices):
+            return None
+        indices = tuple(self._indices[start:start + self.chunk])
+        chunk = SampleChunk(
+            ident=self._issued, round_index=0, indices=indices,
+            pending=tuple(i for i in indices if i not in self._stored),
+        )
+        self._issued += 1
+        return chunk
+
+    def finish_chunk(self, chunk):
+        """Close ``chunk``, in chunk order; returns False (no stop)."""
+        if chunk.ident != self._closed or chunk.ident >= self._issued:
+            raise CampaignError(
+                f"chunk {chunk.ident} is not the next open chunk"
+            )
+        self._closed += 1
+        return False
+
+    def skipped_indices(self):
+        return []

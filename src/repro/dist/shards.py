@@ -128,19 +128,20 @@ def plan_chunk_shard(base, keys, shard_id, indices, netlist=None,
                      config=None):
     """One shard over an arbitrary set of global fault indices.
 
-    The adaptive sampler's unit of distribution: chunk ``k`` of a
-    sampled job becomes shard ``k``, covering whatever non-contiguous
-    indices the stratified draw produced.  ``base`` and ``keys`` are
-    the full campaign's ``spec_to_dict`` rendering and per-fault
-    digests, computed once per job — chunk shards are planned one at a
-    time as the sampler draws them, so the per-plan work must be O(chunk).
+    The coordinator's unit of distribution: chunk ``k`` of a job's
+    chunk plan becomes shard ``k`` — a contiguous slice for an
+    exhaustive job, whatever non-contiguous indices the stratified
+    draw produced for a sampled one.  ``base`` and ``keys`` are the
+    full campaign's ``spec_to_dict`` rendering and per-fault digests,
+    computed once per job — chunk shards are planned one at a time as
+    the plan hands chunks out, so the per-plan work must be O(chunk).
 
     :param base: the parent campaign spec as a dict
         (:func:`~repro.store.serialize.spec_to_dict`).
     :param keys: per-fault content digests aligned with
         ``base["faults"]``.
     :param shard_id: the chunk's sequential ident (also the shard id).
-    :param indices: global fault indices the chunk drew, in draw order.
+    :param indices: global fault indices of the chunk, in draw order.
     :raises ShardError: for an empty chunk or out-of-range indices.
     """
     faults = base["faults"]
@@ -171,7 +172,9 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE, netlist=None,
     """Slice a campaign spec into a deterministic list of shards.
 
     Contiguous fault-order slices: shard 0 gets faults
-    ``[0, shard_size)``, shard 1 the next slice, and so on.  Contiguity
+    ``[0, shard_size)``, shard 1 the next slice, and so on — exactly
+    the shards a coordinator plans from an exhaustive job's chunks
+    (:class:`~repro.campaign.sampling.ExhaustivePlan`).  Contiguity
     is deliberate — fault lists are usually generated in injection-time
     order, so a contiguous slice needs few golden checkpoints and
     batches well on the worker.
@@ -189,20 +192,11 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE, netlist=None,
         raise ShardError(f"campaign {spec.name!r} has no faults to shard")
     base = spec_to_dict(spec)
     keys = [fault_key(fault) for fault in spec.faults]
-    shards = []
-    for shard_id, start in enumerate(range(0, total, shard_size)):
-        stop = min(start + shard_size, total)
-        sub_spec = dict(base)
-        sub_spec["name"] = shard_name(spec.name, shard_id)
-        sub_spec["faults"] = base["faults"][start:stop]
-        shards.append(Shard(
-            shard_id=shard_id,
-            campaign=spec.name,
-            total=total,
-            indices=list(range(start, stop)),
-            fault_keys=keys[start:stop],
-            spec=sub_spec,
-            netlist=netlist,
-            config=dict(config or {}),
-        ))
-    return shards
+    return [
+        plan_chunk_shard(
+            base, keys, shard_id,
+            range(start, min(start + shard_size, total)),
+            netlist=netlist, config=config,
+        )
+        for shard_id, start in enumerate(range(0, total, shard_size))
+    ]

@@ -325,9 +325,9 @@ class RowStreamStore(StoreBackend):
     one: the shard sub-spec's faults are indexed ``0..n-1``, so every
     recorded run is translated back to its **global** fault index and
     content key (from the shard plan) before it leaves the process.
-    Rows are sent as they land — one ``rows`` frame per terminal
-    outcome — so the coordinator's shard database is current to within
-    one run at any kill point.
+    Rows are sent as the runner flushes them — one ``rows`` frame per
+    batch or scalar run — so the coordinator's shard database is
+    current to within one batch at any kill point.
 
     ``stop`` (optional) is the graceful-shutdown hook: it is checked
     *after* each row ships, so a SIGTERM lets the in-flight fault
@@ -372,33 +372,23 @@ class RowStreamStore(StoreBackend):
 
     # -- run recording --------------------------------------------------------
 
-    def _ship(self, row):
-        self._send("rows", token=None, rows=[row])
-        self.rows_sent += 1
-        self.done += 1
+    def _ship(self, rows):
+        self._send("rows", token=None, rows=rows)
+        self.rows_sent += len(rows)
+        self.done += len(rows)
         self._check_stop()
 
     def _globalize(self, index):
         """Local sub-spec index -> (global fault index, fault key)."""
         return self.shard.indices[index], self.shard.fault_keys[index]
 
-    def record_run(self, campaign_id, index, fault_result,
-                   wall_s=None, kernel_events=None, attempts=1,
-                   stratum=None):
-        """Translate one completed run to a row frame and send it.
-
-        ``stratum`` is ignored: sampled-campaign shards are planned
-        by the coordinator, which attaches each row's stratum from its
-        own strata map at ingest.
-        """
-        global_idx, key = self._globalize(index)
-        self._ship(result_to_row(
-            global_idx, key, fault_result, wall_s=wall_s,
-            kernel_events=kernel_events, attempts=attempts,
-        ))
-
     def record_runs(self, campaign_id, rows):
-        """Batch outcomes ship as one frame (batched campaigns)."""
+        """Completed runs ship as one ``rows`` frame per call.
+
+        A row's ``stratum`` is ignored: sampled-campaign shards are
+        planned by the coordinator, which stamps each row's stratum
+        from its own plan at ingest.
+        """
         payload = []
         for row in rows:
             index, fault_result, wall_s, kernel_events, attempts = row[:5]
@@ -408,10 +398,7 @@ class RowStreamStore(StoreBackend):
                 kernel_events=kernel_events, attempts=attempts,
             ))
         if payload:
-            self._send("rows", token=None, rows=payload)
-            self.rows_sent += len(payload)
-            self.done += len(payload)
-            self._check_stop()
+            self._ship(payload)
 
     def record_error(self, campaign_id, index, message, wall_s=None,
                      status="error", attempts=1, quarantined=False,
@@ -422,11 +409,11 @@ class RowStreamStore(StoreBackend):
         string (the artifact itself stays on the worker host).
         """
         global_idx, key = self._globalize(index)
-        self._ship(error_to_row(
+        self._ship([error_to_row(
             global_idx, key, message, status=status, wall_s=wall_s,
             attempts=attempts, quarantined=quarantined,
             postmortem=postmortem,
-        ))
+        )])
 
     def record_execution(self, campaign_id, execution, status="complete"):
         """Capture the shard's execution stats for the complete frame."""

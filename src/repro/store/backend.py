@@ -29,8 +29,8 @@ class StoreBackend(abc.ABC):
     The contract mirrors the runner's store interactions one-to-one:
     registration (:meth:`open_campaign`, :meth:`check_golden`), resume
     queries (:meth:`pending_indices`, :meth:`load_runs`,
-    :meth:`load_errors`), per-run recording (:meth:`record_run`,
-    :meth:`record_runs`, :meth:`record_error`), the final execution
+    :meth:`load_errors`), run recording (:meth:`record_runs`,
+    :meth:`record_error`), the final execution
     record (:meth:`record_execution`) and the optional telemetry hooks.
     All backends are context managers with an idempotent
     :meth:`close`.
@@ -82,32 +82,19 @@ class StoreBackend(abc.ABC):
     # -- run recording --------------------------------------------------------
 
     @abc.abstractmethod
-    def record_run(self, campaign_id, index, fault_result,
-                   wall_s=None, kernel_events=None, attempts=1,
-                   stratum=None):
-        """Persist one completed faulty run.
-
-        ``stratum`` is the sampling stratum label for adaptively
-        sampled campaigns (None otherwise); backends that do not
-        persist strata may ignore it.
-        """
-
     def record_runs(self, campaign_id, rows):
-        """Persist many completed runs (one batch).
+        """Persist completed faulty runs as one unit of durability.
 
-        Backends with cheaper bulk writes override this; the default
-        just loops :meth:`record_run`.
+        The runner's one write path: it calls this at every boundary
+        its outcome stream marks — after each batch, and after each
+        scalar or fork-pool run.
 
         :param rows: iterable of ``(index, fault_result, wall_s,
             kernel_events, attempts)`` tuples, optionally extended
-            with a sixth ``stratum`` element.
+            with a sixth ``stratum`` element — the sampling stratum
+            label of adaptively sampled campaigns, which backends
+            that do not persist strata may ignore.
         """
-        for row in rows:
-            index, fault_result, wall_s, kernel_events, attempts = row[:5]
-            stratum = row[5] if len(row) > 5 else None
-            self.record_run(campaign_id, index, fault_result,
-                            wall_s=wall_s, kernel_events=kernel_events,
-                            attempts=attempts, stratum=stratum)
 
     @abc.abstractmethod
     def record_error(self, campaign_id, index, message, wall_s=None,

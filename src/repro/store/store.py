@@ -432,40 +432,19 @@ class CampaignStore(StoreBackend):
                    wall_s=None, kernel_events=None, attempts=1,
                    stratum=None):
         """Persist one completed faulty run (commits immediately)."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO runs (campaign_id, fault_idx, status,"
-            " label, classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, stratum)"
-            " VALUES (?, ?, 'ok', ?, ?, ?, ?, NULL, ?, ?, ?, ?, 0, ?)",
-            (
-                campaign_id,
-                index,
-                fault_result.label,
-                json.dumps(
-                    _classification_to_dict(fault_result.classification)
-                ),
-                json.dumps(_comparisons_to_dict(fault_result.comparisons)),
-                json.dumps(fault_result.metrics, default=str),
-                wall_s,
-                kernel_events,
-                _now(),
-                attempts,
-                stratum,
-            ),
-        )
-        self._conn.commit()
+        self.record_runs(campaign_id, [
+            (index, fault_result, wall_s, kernel_events, attempts, stratum)
+        ])
 
     def record_runs(self, campaign_id, rows):
         """Persist many completed runs in **one** transaction.
 
-        The batched-campaign complement of :meth:`record_run` (which
-        commits per row): an ensemble batch classifies a whole group
-        of runs at once, and committing them with a single
-        ``executemany`` amortises the fsync that otherwise dominates
-        many-small-runs campaigns.  Crash durability is per *batch*:
-        an interrupted campaign loses at most the rows of the batch in
-        flight, which resume re-runs.
+        A batch classifies a whole group of runs at once, and
+        committing them with a single ``executemany`` amortises the
+        fsync that otherwise dominates many-small-runs campaigns.
+        Crash durability is per call: an interrupted campaign loses at
+        most the rows of the batch (or scalar run) in flight, which
+        resume re-runs.
 
         :param rows: iterable of ``(index, fault_result, wall_s,
             kernel_events, attempts)`` tuples, optionally extended

@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from repro.campaign import CampaignSpec, Design, exhaustive_bitflips, run_campaign
+from repro.campaign import (
+    CampaignSpec,
+    Design,
+    exhaustive_bitflips,
+    execution_summary,
+    run_campaign,
+)
 from repro.core import Component, L0, Simulator
 from repro.digital import Bus, ClockGen, Counter, ParityGen
 
@@ -88,3 +94,22 @@ class TestParallelRunner:
 
         result = run_campaign(closure_factory, make_spec(), workers=2)
         assert len(result) == 12
+
+
+class TestRecordedWorkers:
+    """``execution["workers"]`` is the count that ran, not the request."""
+
+    @pytest.mark.parametrize("options", [
+        {"batch": "digital"},
+        {"sample": True, "margin": 0.2, "chunk": 4},
+    ], ids=["batched", "sampled"])
+    def test_serial_modes_record_one_worker(self, options):
+        result = run_campaign(factory, make_spec(), workers=4, **options)
+        assert result.execution["workers"] == 1
+        assert "(1 worker)" in execution_summary(result)
+
+    def test_single_fault_records_one_worker(self):
+        spec = make_spec()
+        spec.faults = spec.faults[:1]
+        result = run_campaign(factory, spec, workers=4)
+        assert result.execution["workers"] == 1

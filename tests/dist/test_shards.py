@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.campaign.sampling import ExhaustivePlan
 from repro.dist import Shard, ShardError, plan_shards
-from repro.dist.shards import shard_name
-from repro.store.serialize import fault_key, spec_from_dict
+from repro.dist.shards import plan_chunk_shard, shard_name
+from repro.store.serialize import fault_key, spec_from_dict, spec_to_dict
 
 from ..store.test_resume import make_spec
 
@@ -88,3 +89,50 @@ class TestShardRoundTrip:
         data["fault_keys"] = data["fault_keys"][:-1]
         with pytest.raises(ShardError, match="fault keys"):
             Shard.from_dict(data)
+
+
+class TestExhaustiveChunkIdentity:
+    """An exhaustive job's chunk ``k`` is the contiguous shard ``k``.
+
+    This is what keeps a coordinator's leases and shard databases
+    unchanged now that exhaustive jobs run through a chunk plan: same
+    shard ids, sub-spec names, indices and fault keys, byte for byte.
+    """
+
+    @pytest.mark.parametrize("total, shard_size", [
+        (12, 1), (12, 4), (12, 5), (12, 12), (12, 30), (7, 3), (1, 25),
+    ])
+    def test_chunk_k_is_contiguous_shard_k(self, total, shard_size):
+        spec = make_spec()
+        spec.faults = spec.faults[:total]
+        netlist = {"name": "fake", "components": []}
+        config = {"batch": "digital"}
+        base = spec_to_dict(spec)
+        keys = [fault_key(fault) for fault in spec.faults]
+        plan = ExhaustivePlan(range(total), chunk=shard_size)
+        chunks = list(iter(plan.next_chunk, None))
+        shards = plan_shards(spec, shard_size, netlist=netlist,
+                             config=config)
+        assert [c.ident for c in chunks] == [s.shard_id for s in shards]
+        for chunk, shard in zip(chunks, shards):
+            start = chunk.ident * shard_size
+            stop = min(start + shard_size, total)
+            assert list(chunk.indices) == shard.indices \
+                == list(range(start, stop))
+            expected = {
+                "shard_id": chunk.ident,
+                "campaign": spec.name,
+                "total": total,
+                "indices": list(range(start, stop)),
+                "fault_keys": keys[start:stop],
+                "spec": dict(base, name=shard_name(spec.name, chunk.ident),
+                             faults=base["faults"][start:stop]),
+                "netlist": netlist,
+                "config": config,
+            }
+            planned = plan_chunk_shard(base, keys, chunk.ident,
+                                       chunk.indices, netlist=netlist,
+                                       config=config)
+            for candidate in (planned, shard):
+                assert json.dumps(candidate.to_dict()) \
+                    == json.dumps(expected)

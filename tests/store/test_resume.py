@@ -56,9 +56,9 @@ class Interrupted(CampaignStore):
         self.after = after
         self.commits = 0
 
-    def record_run(self, *args, **kwargs):
+    def record_runs(self, campaign_id, rows):
         """Commit, then simulate a mid-campaign crash after ``after``."""
-        super().record_run(*args, **kwargs)
+        super().record_runs(campaign_id, rows)
         self.commits += 1
         if self.commits >= self.after:
             raise KeyboardInterrupt
