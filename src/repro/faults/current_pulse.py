@@ -27,6 +27,11 @@ from ..core.errors import FaultModelError
 from ..core.units import format_quantity, parse_quantity
 from .models import AnalogTransient, check_positive
 
+#: A plateau shorter than this fraction of PW is float noise (PW
+#: computed as RT plus rounding), not a waveform feature: far above the
+#: rounding of PW - RT, far below any plateau worth resolving.
+PLATEAU_NOISE = 1e-9
+
 
 class TrapezoidPulse(AnalogTransient):
     """Trapezoidal current pulse (PA, RT, FT, PW).
@@ -98,8 +103,16 @@ class TrapezoidPulse(AnalogTransient):
         return abs(self.pa)
 
     def suggested_dt(self, points_per_edge=8):
-        """A step resolving the fastest edge with ``points_per_edge``."""
-        fastest = min(x for x in (self.rt, self.ft, self.plateau) if x > 0)
+        """A step resolving the fastest edge with ``points_per_edge``.
+
+        The plateau counts as an edge unless it is float noise (see
+        :data:`PLATEAU_NOISE`): resolving a 1-ulp plateau would step
+        the solver at ~1e-27 s.
+        """
+        features = [self.rt, self.ft]
+        if self.plateau > PLATEAU_NOISE * self.pw:
+            features.append(self.plateau)
+        fastest = min(x for x in features if x > 0)
         return fastest / points_per_edge
 
     def breakpoints(self):
