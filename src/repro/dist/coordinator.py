@@ -34,11 +34,14 @@ Fault tolerance is lease-based, **at-least-once**:
   insert makes re-ingest idempotent, so the merged store is identical
   to a serial run.
 
-Golden consistency across hosts is verified, not assumed: the first
-completing worker's golden probe digests are recorded in the final
-store, and every later shard's digests must match or the job aborts
-(:class:`~repro.store.store.StoreError` semantics identical to a
-local resume against a drifted golden).
+Golden consistency across hosts is verified, not assumed: every
+completion reports the golden probe digests its worker ran against,
+and every lease attempt at one shard must report the same digests or
+the job aborts (:class:`~repro.store.store.StoreError` semantics
+identical to a local resume against a drifted golden).  Digests are
+compared per shard, not across shards: each shard's golden grid is
+refined around its own faults' current pulses.  The first merged
+shard's digests are kept in the final store as a reference sample.
 """
 
 from __future__ import annotations
@@ -831,10 +834,7 @@ class Coordinator:
         """
         if not os.path.exists(self._sharded.shard_path(shard.shard_id)):
             return False
-        have = {
-            int(row["idx"])
-            for row in self._sharded.shard_run_rows(shard)
-        }
+        have = self._sharded.shard_indices(shard)
         job.seen_rows.update(have)
         return set(shard.indices) <= have
 
@@ -893,14 +893,15 @@ class Coordinator:
                                             worker):
                 return False
             store.record_golden_digests(job.campaign_id, golden)
+        rows = self._sharded.shard_run_rows(shard)
         merged = self._sharded.merge_into(
             store, job.campaign_id, shard, worker=worker,
-            leases=job.lease_counts.get(shard_id) or None,
+            leases=job.lease_counts.get(shard_id) or None, rows=rows,
         )
         job.merged.add(shard_id)
         if worker != "resume":
             job.workers.add(worker)
-        for row in self._sharded.shard_run_rows(shard):
+        for row in rows:
             job.plan.record(int(row["idx"]), row_outcome(row))
             job.seen_rows.add(int(row["idx"]))
         # Recorded *after* the merge commit: a crash in between leaves
@@ -1208,16 +1209,21 @@ class Coordinator:
             return
         lease.last_heartbeat = monotonic()
         job, shard = lease.job, lease.shard
-        for row in frame["rows"]:
+        # Workers run plain exhaustive shards and know nothing of
+        # strata; the coordinator owns the plan and stamps each row's
+        # stratum at ingest.
+        rows = [
+            dict(row, stratum=job.plan.stratum_of(int(row["idx"])))
+            for row in frame["rows"]
+        ]
+        # One transaction per frame: every row is validated before any
+        # is written, and a commit's durability covers the whole frame.
+        try:
+            self._sharded.ingest_rows(shard, rows)
+        except StoreError as exc:
+            raise ProtocolError(str(exc)) from exc
+        for row in rows:
             index = int(row["idx"])
-            # Workers run plain exhaustive shards and know nothing of
-            # strata; the coordinator owns the plan and stamps each
-            # row's stratum at ingest.
-            row = dict(row, stratum=job.plan.stratum_of(index))
-            try:
-                self._sharded.ingest_row(shard, row)
-            except StoreError as exc:
-                raise ProtocolError(str(exc)) from exc
             if index not in job.seen_rows:
                 job.seen_rows.add(index)
                 _journal.emit(
@@ -1238,10 +1244,7 @@ class Coordinator:
             # proxy) already cut succeeds locally, so the worker has
             # nothing left to re-send — and a complete that outlives
             # its rows must requeue the shard, not merge a hole.
-            have = {
-                int(row["idx"])
-                for row in self._sharded.shard_run_rows(shard)
-            }
+            have = self._sharded.shard_indices(shard)
             missing = sorted(set(shard.indices) - have)
             if missing:
                 LOGGER.warning(
@@ -1313,6 +1316,11 @@ class Coordinator:
             "shards_failed": len(job.failed),
             "completed": len(job.seen_rows),
             "wall_s": round(monotonic() - job.wall_start, 6),
+            # Shards whose worker reused its warm state from an earlier
+            # shard of this job instead of re-running golden.
+            "shards_adopted": sum(
+                exe.get("warm_state") == "adopted" for exe in job.executions
+            ),
         }
         for key in ("golden_events", "fault_events", "kernel_events",
                     "errors", "retries", "timeouts", "diverged",

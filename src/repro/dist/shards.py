@@ -20,6 +20,7 @@ shard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..core.errors import ReproError
 from ..store.serialize import fault_key, spec_from_dict, spec_to_dict
@@ -80,6 +81,11 @@ class Shard:
     def size(self):
         """Number of faults in this shard."""
         return len(self.indices)
+
+    @cached_property
+    def positions(self):
+        """Global fault index -> its position in :attr:`indices`."""
+        return {index: position for position, index in enumerate(self.indices)}
 
     def campaign_spec(self):
         """The shard's executable :class:`CampaignSpec` instance."""

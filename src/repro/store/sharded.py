@@ -18,7 +18,7 @@ The merge is deterministic by construction:
   fault;
 * duplicate rows — the legitimate product of at-least-once shard
   reassignment — are dropped by the final store's first-writer-wins
-  insert (:meth:`CampaignStore.record_row`);
+  insert (:meth:`CampaignStore.record_rows`);
 * reads come back ordered by fault index.
 
 So the merged store's run rows are identical to a serial run's
@@ -138,64 +138,78 @@ class ShardedCampaignStore:
 
     # -- ingest ---------------------------------------------------------------
 
-    def ingest_row(self, shard, row):
-        """Persist one streamed run row into its shard's database.
+    @staticmethod
+    def _check_rows(shard, rows, action):
+        """Verify every row's index and fault key against the shard plan.
 
-        Validates the row's fault ``key`` against the shard plan — a
-        row claiming an index outside the shard, or a key that does
-        not match the fault at that index, is a protocol violation.
-        First-writer-wins on duplicates (re-streamed after a
-        reassignment).
+        A row claiming an index outside the shard, or a key that does
+        not match the fault at that index, is refused before any row
+        is written.
+
+        :raises StoreError: on the first index/key mismatch.
+        """
+        positions = shard.positions
+        for row in rows:
+            index = int(row["idx"])
+            position = positions.get(index)
+            if position is None:
+                raise StoreError(
+                    f"row for fault {index} does not belong to shard "
+                    f"{shard.shard_id} (indices {shard.indices[:4]}...); "
+                    f"refusing to {action}"
+                )
+            if row.get("key") != shard.fault_keys[position]:
+                raise StoreError(
+                    f"shard {shard.shard_id} row for fault {index} carries "
+                    f"fault key {row.get('key')!r}, expected "
+                    f"{shard.fault_keys[position]!r}; refusing to {action}"
+                )
+
+    def ingest_rows(self, shard, rows):
+        """Persist one streamed ``rows`` frame into its shard's database.
+
+        Every row is validated first (:meth:`_check_rows`), then all
+        of them are written in one transaction, so a frame lands
+        whole or not at all.  First-writer-wins on duplicates
+        (re-streamed after a reassignment).  Returns the number of
+        rows inserted.
 
         :raises StoreError: on index/key mismatches.
         """
-        index = int(row["idx"])
-        try:
-            position = shard.indices.index(index)
-        except ValueError:
-            raise StoreError(
-                f"row for fault {index} does not belong to shard "
-                f"{shard.shard_id} (indices {shard.indices[:4]}...)"
-            ) from None
-        if row.get("key") != shard.fault_keys[position]:
-            raise StoreError(
-                f"row for fault {index} carries fault key "
-                f"{row.get('key')!r}, expected "
-                f"{shard.fault_keys[position]!r}; refusing to ingest"
-            )
+        self._check_rows(shard, rows, "ingest")
         store, campaign_id = self.shard_store(shard)
-        store.record_row(campaign_id, row, shard_id=shard.shard_id)
+        return store.record_rows(campaign_id, rows, shard_id=shard.shard_id)
 
     def shard_run_rows(self, shard):
         """The rows one shard's database holds, in fault-index order."""
         store, campaign_id = self.shard_store(shard)
         return store.run_rows(campaign_id)
 
+    def shard_indices(self, shard):
+        """The global fault indices one shard's database holds rows for."""
+        store, campaign_id = self.shard_store(shard)
+        return store.run_indices(campaign_id)
+
     # -- merge ----------------------------------------------------------------
 
     def merge_into(self, target, campaign_id, shard, worker=None,
-                   leases=None):
+                   leases=None, rows=None):
         """Merge one completed shard into the final store.
 
-        Reads the shard database's rows in fault-index order, verifies
-        each row's fault key against the shard plan and inserts with
-        first-writer-wins dedup; records the shard's lifecycle row.
-        Returns the number of rows actually merged (duplicates from a
-        reassigned shard count zero).
+        Verifies every row's fault key against the shard plan, then
+        inserts them with first-writer-wins dedup in one transaction
+        and records the shard's lifecycle row.  Returns the number of
+        rows actually merged (duplicates from a reassigned shard count
+        zero).
+
+        :param rows: the shard database's rows when the caller has
+            already read them (:meth:`shard_run_rows`); read here
+            otherwise.
         """
-        rows = self.shard_run_rows(shard)
-        merged = 0
-        for row in rows:
-            position = shard.indices.index(int(row["idx"]))
-            if row.get("key") != shard.fault_keys[position]:
-                raise StoreError(
-                    f"shard {shard.shard_id} row for fault {row['idx']} "
-                    "does not match the campaign fault list; refusing "
-                    "to merge"
-                )
-            before = target._conn.total_changes
-            target.record_row(campaign_id, row, shard_id=shard.shard_id)
-            merged += 1 if target._conn.total_changes > before else 0
+        if rows is None:
+            rows = self.shard_run_rows(shard)
+        self._check_rows(shard, rows, "merge")
+        merged = target.record_rows(campaign_id, rows, shard_id=shard.shard_id)
         target.record_shard(
             campaign_id, shard.shard_id, "merged", worker=worker,
             n_faults=len(shard.indices), leases=leases,

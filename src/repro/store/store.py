@@ -341,10 +341,10 @@ class CampaignStore(StoreBackend):
 
         For recorders whose digests are not globally comparable: the
         distributed coordinator keeps the campaign row's golden as a
-        reference sample (the first completed shard's), but shards
-        pause their golden runs at their *own* fault times, so
-        cross-shard digests legitimately differ and comparison
-        happens per shard in the coordinator instead.
+        reference sample (the first completed shard's), but each
+        shard refines its golden grid around its *own* faults' current
+        pulses, so cross-shard digests legitimately differ and
+        comparison happens per shard in the coordinator instead.
         """
         row = self._conn.execute(
             "SELECT golden_json FROM campaigns WHERE id = ?", (campaign_id,)
@@ -605,24 +605,26 @@ class CampaignStore(StoreBackend):
         }
 
     def record_row(self, campaign_id, row, shard_id=None, replace=False):
-        """Persist one run from its **row dict** rendering.
+        """Persist one run from its **row dict** rendering (see
+        :meth:`record_rows`).  Commits immediately."""
+        self.record_rows(campaign_id, [row], shard_id=shard_id,
+                         replace=replace)
 
-        ``row`` follows the canonical schema of
+    def record_rows(self, campaign_id, rows, shard_id=None, replace=False):
+        """Persist runs from their **row dict** renderings, one commit.
+
+        Each row follows the canonical schema of
         :data:`~repro.store.serialize.ROW_FIELDS` — what the
         distributed wire protocol streams and the per-shard databases
         hold.  The default conflict policy is *first writer wins*
         (``INSERT OR IGNORE``): shard reassignment is at-least-once,
         so the same fault may legitimately arrive twice, and ignoring
         the duplicate keeps the merged store deterministic regardless
-        of arrival order.  Commits immediately.
+        of arrival order.  Durability is per call: a crash keeps all
+        of the rows or none.  Returns the number of rows inserted.
         """
-        self._conn.execute(
-            "INSERT OR " + ("REPLACE" if replace else "IGNORE")
-            + " INTO runs (campaign_id, fault_idx, status, label,"
-            " classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, postmortem, shard_id, stratum)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        now = _now()
+        payload = [
             (
                 campaign_id,
                 int(row["idx"]),
@@ -637,20 +639,43 @@ class CampaignStore(StoreBackend):
                 row.get("error"),
                 row.get("wall_s"),
                 row.get("kernel_events"),
-                _now(),
+                now,
                 row.get("attempts", 1),
                 1 if row.get("quarantined") else 0,
                 row.get("postmortem"),
                 shard_id if shard_id is not None else row.get("shard_id"),
                 row.get("stratum"),
-            ),
+            )
+            for row in rows
+        ]
+        if not payload:
+            return 0
+        before = self._conn.total_changes
+        self._conn.executemany(
+            "INSERT OR " + ("REPLACE" if replace else "IGNORE")
+            + " INTO runs (campaign_id, fault_idx, status, label,"
+            " classification_json, comparisons_json, metrics_json,"
+            " error, wall_s, kernel_events, completed_at, attempts,"
+            " quarantined, postmortem, shard_id, stratum)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            payload,
         )
         self._conn.commit()
+        return self._conn.total_changes - before
+
+    def run_indices(self, campaign_id):
+        """Set of fault indices with a run row of any status."""
+        return {
+            row["fault_idx"] for row in self._conn.execute(
+                "SELECT fault_idx FROM runs WHERE campaign_id = ?",
+                (campaign_id,),
+            )
+        }
 
     def run_rows(self, campaign_id):
         """Every recorded run as a row dict, in fault-index order.
 
-        The inverse of :meth:`record_row` (plus the fault's content
+        The inverse of :meth:`record_rows` (plus the fault's content
         ``key`` joined in from the fault list), used by the shard
         merge and by row-identity assertions in tests.
         """

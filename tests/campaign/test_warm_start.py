@@ -178,6 +178,19 @@ class TestDigitalWarmStart:
         warm = run_campaign(counter_factory, spec, warm_start=True)
         assert_same_outcome(cold, warm)
 
+    @pytest.mark.parametrize("batch", [False, "digital"])
+    def test_each_campaign_runs_its_own_golden(self, batch):
+        """Golden state is never carried between single-process
+        campaigns: each one builds its design and runs golden again."""
+        spec = counter_spec()
+        first = run_campaign(counter_factory, spec, warm_start=True,
+                             batch=batch)
+        second = run_campaign(counter_factory, spec, warm_start=True,
+                              batch=batch)
+        assert first.execution["golden_events"] > 0
+        assert second.execution["golden_events"] \
+            == first.execution["golden_events"]
+
 
 class TestMixedPLLWarmStart:
     @pytest.fixture(scope="class")

@@ -43,3 +43,17 @@ def test_teardown_when_workers_miss_drain(tmp_path, monkeypatch):
     assert time.monotonic() - finished["at"] < 2.0
     assert [process.exitcode for process in spawned] == [0, 0]
     assert len(result) == len(spec.faults)
+
+
+@needs_fork
+def test_execution_counts_adopted_shards(tmp_path):
+    """Each worker builds golden for its first shard of the job and
+    adopts that state for every later one."""
+    result = local.run_distributed(
+        factory, make_spec(), workers=2, shard_size=3,
+        store_path=str(tmp_path / "fleet.db"), config={"batch": "digital"},
+    )
+    execution = result.execution
+    assert execution["shards"] == execution["shards_merged"] == 4
+    assert execution["shards_adopted"] \
+        == execution["shards"] - execution["workers"]

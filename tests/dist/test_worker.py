@@ -100,3 +100,142 @@ class TestExecuteShard:
                             row["classification"],
                             row["comparisons"]) \
                         == serial_rows[row["idx"]]
+
+
+def sense_factory():
+    """Two current nodes, each integrated by an RC transimpedance stage."""
+    from repro.analog import TransimpedanceFilter, rc_transimpedance
+    from repro.campaign import Design
+    from repro.core import Component, Simulator
+
+    sim = Simulator(dt=1e-9)
+    top = Component(sim, "top")
+    probes = {}
+    for site in ("a", "b"):
+        current = sim.current_node(f"top.i{site}")
+        voltage = sim.node(f"top.v{site}")
+        TransimpedanceFilter(
+            sim, f"tia_{site}", current, voltage,
+            rc_transimpedance(1e3, 1e-12), v_min=0.0, v_max=5.0,
+            parent=top,
+        )
+        probes[f"v{site}"] = sim.probe(voltage)
+    return Design(sim=sim, root=top, probes=probes)
+
+
+def sense_spec(sites, times):
+    from repro.campaign import CampaignSpec, analog_injections
+    from repro.faults import TrapezoidPulse
+
+    pulse = TrapezoidPulse(rt=100e-12, ft=300e-12, pw=500e-12, pa=1e-3)
+    return CampaignSpec(
+        name="sense",
+        faults=analog_injections(sites, times, [pulse]),
+        t_end=200e-9, outputs=["va", "vb"], analog_tolerance=0.02,
+    )
+
+
+def run_shards(shards, factory, warm):
+    """Execute ``shards`` in order on one worker's warm slot."""
+    sinks = []
+    for shard in shards:
+        frames, send = collect_frames()
+        sink = execute_shard(shard, factory=factory, send=send, warm=warm)
+        sinks.append((sink, [row for f in frames if f["frame"] == "rows"
+                             for row in f["rows"]]))
+    return sinks
+
+
+class TestWarmSlot:
+    """One worker pays for a job's golden run once, not once per shard."""
+
+    def test_worker_captures_each_golden_node_once(self, spec,
+                                                   monkeypatch):
+        from repro.campaign import run_campaign
+        from repro.core.snapshot import Snapshot
+        from repro.dist.worker import WarmSlot
+
+        serial = run_campaign(factory, spec, batch="digital")
+        serial_branches = serial.execution["batch"]["branch_snapshots"]
+        assert serial_branches > 0
+
+        captured = []
+        original = Snapshot.capture.__func__
+
+        def counting_capture(cls, sim):
+            captured.append((id(sim), sim.now))
+            return original(cls, sim)
+
+        monkeypatch.setattr(Snapshot, "capture",
+                            classmethod(counting_capture))
+        shards = plan_shards(spec, shard_size=4,
+                             config={"batch": "digital"})
+        sinks = run_shards(shards, factory, WarmSlot())
+
+        assert len(captured) == len(set(captured))
+        assert sum(sink.execution["batch"]["branch_snapshots"]
+                   for sink, _rows in sinks) <= serial_branches
+        assert [sink.execution["warm_state"] for sink, _rows in sinks] \
+            == ["built", "adopted", "adopted"]
+        built = sinks[0][0].execution["golden_events"]
+        assert all(sink.execution["golden_events"] < built
+                   for sink, _rows in sinks[1:])
+
+    def test_adopted_rows_match_serial(self, spec, tmp_path):
+        from repro.campaign import run_campaign
+        from repro.dist.worker import WarmSlot
+        from repro.store import CampaignStore
+
+        from ..integration.test_distributed_campaign import identity
+
+        with CampaignStore(tmp_path / "serial.db") as store:
+            run_campaign(factory, spec, batch="digital", store=store)
+            serial = {row["idx"]: identity(row)
+                      for row in store.run_rows(store.campaign_id())}
+        shards = plan_shards(spec, shard_size=4,
+                             config={"batch": "digital"})
+        fresh = [execute_shard(shard, factory=factory).golden
+                 for shard in shards]
+        sinks = run_shards(shards, factory, WarmSlot())
+        rows = {row["idx"]: identity(row)
+                for _sink, shard_rows in sinks for row in shard_rows}
+        assert rows == serial
+        assert [sink.golden for sink, _rows in sinks] == fresh
+
+    @pytest.mark.parametrize("differs", ["windows", "saboteur sites"])
+    def test_changed_warm_inputs_rebuild(self, differs):
+        from repro.dist.worker import WarmSlot
+
+        if differs == "windows":
+            spec = sense_spec(["top.ia"], [50e-9, 120e-9])
+        else:
+            spec = sense_spec(["top.ia", "top.ib"], [50e-9])
+        shards = plan_shards(spec, shard_size=1, config={"batch": "auto"})
+        sinks = run_shards(shards, sense_factory, WarmSlot())
+        assert [sink.execution["warm_state"] for sink, _rows in sinks] \
+            == ["built", "built"]
+        for shard, (sink, _rows) in zip(shards, sinks):
+            assert sink.execution["golden_events"] > 0
+            assert sink.golden \
+                == execute_shard(shard, factory=sense_factory).golden
+
+    def test_changed_factory_rebuilds(self, spec):
+        from repro.dist.worker import WarmSlot
+
+        shards = plan_shards(spec, shard_size=6, config={"batch": "digital"})
+        warm = WarmSlot()
+        first = execute_shard(shards[0], factory=factory, warm=warm)
+        second = execute_shard(shards[1], factory=lambda: factory(),
+                               warm=warm)
+        assert first.execution["warm_state"] == "built"
+        assert second.execution["warm_state"] == "built"
+        assert second.golden \
+            == execute_shard(shards[1], factory=factory).golden
+
+    def test_equal_netlists_share_one_factory(self):
+        from repro.dist.worker import WarmSlot
+
+        warm = WarmSlot()
+        first = warm.factory_for({"name": "n"})
+        assert warm.factory_for({"name": "n"}) is first
+        assert warm.factory_for({"name": "m"}) is not first
